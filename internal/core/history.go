@@ -101,9 +101,13 @@ type ClassStats struct {
 // the exact-match entries it keeps per-workload-class calibration aggregates
 // (ClassStats) so the estimator can pre-decide jobs it has never seen under
 // that exact key.
+//
+// Records returned by Entry, Entries, Class and Classes are read-only views:
+// Save reuses each record's encoded form until Record, Observe, Load or
+// Forget changes that record.
 type History struct {
-	entries map[string]*HistoryEntry
-	classes map[string]*ClassStats
+	entries recordSet[*HistoryEntry]
+	classes recordSet[*ClassStats]
 
 	// Confidence gate: a class predicts only after MinRuns observations
 	// with across-run rate/selectivity CVs at most MaxCV and a mean
@@ -117,8 +121,8 @@ type History struct {
 // NewHistory returns an empty store with the default confidence gate.
 func NewHistory() *History {
 	return &History{
-		entries:    make(map[string]*HistoryEntry),
-		classes:    make(map[string]*ClassStats),
+		entries:    newRecordSet[*HistoryEntry](),
+		classes:    newRecordSet[*ClassStats](),
 		MinRuns:    3,
 		MaxCV:      0.25,
 		MaxIntraCV: 0.75,
@@ -131,10 +135,9 @@ func NewHistory() *History {
 // as the incumbent, so one anomalous run amid a streak cannot flip future
 // mode decisions.
 func (h *History) Record(job string, winner ModeKind, elapsed time.Duration, s profiler.Summary) {
-	e, ok := h.entries[job]
+	e, ok := h.entries.m[job]
 	if !ok {
-		e = &HistoryEntry{Job: job, Wins: make(map[ModeKind]int)}
-		h.entries[job] = e
+		e = &HistoryEntry{Job: job}
 	}
 	if e.Wins == nil {
 		e.Wins = make(map[ModeKind]int)
@@ -149,6 +152,7 @@ func (h *History) Record(job string, winner ModeKind, elapsed time.Duration, s p
 	if e.Winner == "" || e.Wins[winner] >= e.Wins[e.Winner] {
 		e.Winner = winner
 	}
+	h.entries.put(job, e)
 }
 
 // Observe folds one finished run into its workload class's calibration
@@ -159,10 +163,9 @@ func (h *History) Observe(class string, winner ModeKind, elapsed time.Duration, 
 	if class == "" || s.MapCount == 0 || s.AvgIn <= 0 {
 		return
 	}
-	cs, ok := h.classes[class]
+	cs, ok := h.classes.m[class]
 	if !ok {
 		cs = &ClassStats{Class: class}
-		h.classes[class] = cs
 	}
 	cs.Runs++
 	cs.Rate.Add(s.AvgMapCPU.Seconds() / float64(s.AvgIn))
@@ -179,11 +182,12 @@ func (h *History) Observe(class string, winner ModeKind, elapsed time.Duration, 
 	case ModeUPlus:
 		cs.UWins++
 	}
+	h.classes.put(class, cs)
 }
 
 // Class returns the calibration aggregates for a workload class, if any.
 func (h *History) Class(class string) (*ClassStats, bool) {
-	cs, ok := h.classes[class]
+	cs, ok := h.classes.m[class]
 	return cs, ok
 }
 
@@ -191,7 +195,7 @@ func (h *History) Class(class string) (*ClassStats, bool) {
 // job without racing: enough runs, stable per-byte rate and selectivity
 // across runs, and internally un-skewed maps.
 func (h *History) Confident(class string) bool {
-	cs, ok := h.classes[class]
+	cs, ok := h.classes.m[class]
 	if !ok || cs.Runs < h.MinRuns {
 		return false
 	}
@@ -200,7 +204,7 @@ func (h *History) Confident(class string) bool {
 
 // Winner returns the recorded majority mode for a job key, if any.
 func (h *History) Winner(job string) (ModeKind, bool) {
-	if e, ok := h.entries[job]; ok {
+	if e, ok := h.entries.m[job]; ok {
 		return e.Winner, true
 	}
 	return "", false
@@ -208,39 +212,22 @@ func (h *History) Winner(job string) (ModeKind, bool) {
 
 // Entry returns the full record for a job key.
 func (h *History) Entry(job string) (*HistoryEntry, bool) {
-	e, ok := h.entries[job]
+	e, ok := h.entries.m[job]
 	return e, ok
 }
 
 // Entries returns every exact-match record, sorted by job key.
-func (h *History) Entries() []*HistoryEntry {
-	out := make([]*HistoryEntry, 0, len(h.entries))
-	for _, name := range sortedKeys(h.entries) {
-		out = append(out, h.entries[name])
-	}
-	return out
-}
+func (h *History) Entries() []*HistoryEntry { return h.entries.values() }
 
 // Classes returns every workload-class aggregate, sorted by class key.
-func (h *History) Classes() []*ClassStats {
-	names := make([]string, 0, len(h.classes))
-	for k := range h.classes {
-		names = append(names, k)
-	}
-	slices.Sort(names)
-	out := make([]*ClassStats, 0, len(names))
-	for _, name := range names {
-		out = append(out, h.classes[name])
-	}
-	return out
-}
+func (h *History) Classes() []*ClassStats { return h.classes.values() }
 
 // Len reports the number of recorded job keys.
-func (h *History) Len() int { return len(h.entries) }
+func (h *History) Len() int { return len(h.entries.m) }
 
 // Forget removes a job's record (used by tests and by operators resetting a
 // stale decision).
-func (h *History) Forget(job string) { delete(h.entries, job) }
+func (h *History) Forget(job string) { h.entries.remove(job) }
 
 const (
 	historyPath    = "/mrapid/history.json"
@@ -249,7 +236,8 @@ const (
 
 // historySnapshot is the persisted schema (version 2): exact-match entries
 // plus workload-class calibration aggregates. Version 1 snapshots were a
-// bare JSON array of entries; Load still accepts them.
+// bare JSON array of entries; Load still accepts them. Load decodes through
+// this type; Save writes the same bytes incrementally (see encode).
 type historySnapshot struct {
 	Version int             `json:"version"`
 	Jobs    []*HistoryEntry `json:"jobs"`
@@ -266,8 +254,7 @@ type historySnapshot struct {
 // delete-then-put sequence had a window where a crash lost the whole
 // history.
 func (h *History) Save(dfs *hdfs.DFS) error {
-	snap := historySnapshot{Version: 2, Jobs: h.Entries(), Classes: h.Classes()}
-	data, err := json.MarshalIndent(snap, "", "  ")
+	data, err := h.encode()
 	if err != nil {
 		return fmt.Errorf("core: encoding history: %w", err)
 	}
@@ -320,7 +307,7 @@ func (h *History) Load(dfs *hdfs.DFS) error {
 		list = snap.Jobs
 		for _, cs := range snap.Classes {
 			if cs != nil && cs.Class != "" {
-				h.classes[cs.Class] = cs
+				h.classes.put(cs.Class, cs)
 			}
 		}
 	}
@@ -332,16 +319,129 @@ func (h *History) Load(dfs *hdfs.DFS) error {
 			}
 			e.Wins = map[ModeKind]int{e.Winner: runs}
 		}
-		h.entries[e.Job] = e
+		h.entries.put(e.Job, e)
 	}
 	return nil
 }
 
-func sortedKeys(m map[string]*HistoryEntry) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// encode renders the version-2 snapshot byte for byte as
+// json.MarshalIndent(historySnapshot{...}, "", "  ") would. It re-encodes
+// only the records changed since the previous Save and joins the cached
+// fragments into one exactly sized buffer, so saving after every job costs
+// the changed records plus a copy, not a reflective re-encode of the whole
+// history.
+func (h *History) encode() ([]byte, error) {
+	const (
+		head       = "{\n  \"version\": 2,\n  \"jobs\": "
+		classesKey = ",\n  \"classes\": "
+		tail       = "\n}"
+	)
+	jobs, err := h.entries.refresh()
+	if err != nil {
+		return nil, err
 	}
-	slices.Sort(keys)
-	return keys
+	classes, err := h.classes.refresh()
+	if err != nil {
+		return nil, err
+	}
+	withClasses := len(h.classes.keys) > 0 // "classes" is omitempty
+	size := len(head) + jobs + len(tail)
+	if withClasses {
+		size += len(classesKey) + classes
+	}
+	buf := make([]byte, 0, size)
+	buf = append(buf, head...)
+	buf = h.entries.appendArray(buf)
+	if withClasses {
+		buf = append(buf, classesKey...)
+		buf = h.classes.appendArray(buf)
+	}
+	return append(buf, tail...), nil
+}
+
+// recordSet holds one kind of history record by key, together with what
+// encode needs to rewrite it incrementally: the keys in sorted order and
+// each record's indented JSON fragment as it appears in the snapshot.
+// Every change to a record goes through put or remove, which drop that
+// record's fragment.
+type recordSet[T any] struct {
+	m     map[string]T
+	keys  []string          // the keys of m, sorted
+	frags map[string][]byte // key → fragment; absent until re-encoded
+}
+
+func newRecordSet[T any]() recordSet[T] {
+	return recordSet[T]{m: make(map[string]T), frags: make(map[string][]byte)}
+}
+
+// put stores (or re-stores after an in-place update) the record under key.
+func (s *recordSet[T]) put(key string, v T) {
+	if _, ok := s.m[key]; !ok {
+		i, _ := slices.BinarySearch(s.keys, key)
+		s.keys = slices.Insert(s.keys, i, key)
+	}
+	s.m[key] = v
+	delete(s.frags, key)
+}
+
+func (s *recordSet[T]) remove(key string) {
+	if i, ok := slices.BinarySearch(s.keys, key); ok {
+		s.keys = slices.Delete(s.keys, i, i+1)
+	}
+	delete(s.m, key)
+	delete(s.frags, key)
+}
+
+// values returns the records in key order.
+func (s *recordSet[T]) values() []T {
+	out := make([]T, len(s.keys))
+	for i, k := range s.keys {
+		out[i] = s.m[k]
+	}
+	return out
+}
+
+// Fragments sit one array level inside the snapshot object.
+const (
+	fragPrefix = "    "
+	fragSep    = "\n" + fragPrefix
+	arrayClose = "\n  ]"
+)
+
+// refresh encodes every record whose fragment is missing and returns the
+// length appendArray will append.
+func (s *recordSet[T]) refresh() (int, error) {
+	if len(s.keys) == 0 {
+		return len("[]"), nil
+	}
+	n := len("[") + len(arrayClose) + (len(s.keys)-1)*len(",")
+	for _, k := range s.keys {
+		frag, ok := s.frags[k]
+		if !ok {
+			var err error
+			if frag, err = json.MarshalIndent(s.m[k], fragPrefix, "  "); err != nil {
+				return 0, err
+			}
+			s.frags[k] = frag
+		}
+		n += len(fragSep) + len(frag)
+	}
+	return n, nil
+}
+
+// appendArray appends the records as the snapshot's JSON array, from the
+// fragments refresh brought up to date.
+func (s *recordSet[T]) appendArray(buf []byte) []byte {
+	if len(s.keys) == 0 {
+		return append(buf, "[]"...)
+	}
+	buf = append(buf, '[')
+	for i, k := range s.keys {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, fragSep...)
+		buf = append(buf, s.frags[k]...)
+	}
+	return append(buf, arrayClose...)
 }

@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"mrapid/internal/sim"
 	"mrapid/internal/topology"
@@ -152,14 +153,17 @@ func (d *DFS) Rename(oldName, newName string) error {
 }
 
 // RenamePrefix renames every file under oldPrefix to the corresponding name
-// under newPrefix (directory rename). It returns the number of files moved.
+// under newPrefix (directory rename), in sorted name order. It returns the
+// number of files moved. On a name collision it stops with an error, leaving
+// the files sorted before the colliding one already moved.
 func (d *DFS) RenamePrefix(oldPrefix, newPrefix string) (int, error) {
 	var moved []string
-	for _, name := range d.List() {
-		if len(name) >= len(oldPrefix) && name[:len(oldPrefix)] == oldPrefix {
+	for name := range d.files {
+		if strings.HasPrefix(name, oldPrefix) {
 			moved = append(moved, name)
 		}
 	}
+	sort.Strings(moved)
 	for _, name := range moved {
 		if err := d.Rename(name, newPrefix+name[len(oldPrefix):]); err != nil {
 			return 0, err
@@ -171,8 +175,8 @@ func (d *DFS) RenamePrefix(oldPrefix, newPrefix string) (int, error) {
 // DeletePrefix removes every file under the prefix and reports how many.
 func (d *DFS) DeletePrefix(prefix string) int {
 	n := 0
-	for _, name := range d.List() {
-		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
+	for name := range d.files {
+		if strings.HasPrefix(name, prefix) {
 			delete(d.files, name)
 			n++
 		}
@@ -272,7 +276,7 @@ func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File 
 			ID:       d.nextBlockID,
 			File:     name,
 			Offset:   off,
-			Data:     data[off:end],
+			Data:     data[off:end:end],
 			Replicas: d.place(writer),
 			Gen:      d.gen,
 		})
@@ -287,6 +291,11 @@ func (d *DFS) makeBlocks(name string, data []byte, writer *topology.Node) *File 
 // experiment setup (pre-loading the input corpus before the measured job
 // begins), mirroring how the paper's inputs were staged before timing.
 // Overwriting an existing file is an error.
+//
+// The blocks alias data rather than copy it: the caller hands the slice
+// over and must not mutate it afterwards, so one read-only buffer may back
+// any number of files. The filesystem itself never writes into block data
+// (Append copies the last block before growing it).
 func (d *DFS) PutInstant(name string, data []byte, writer *topology.Node) (*File, error) {
 	if d.Exists(name) {
 		return nil, fmt.Errorf("hdfs: file %q already exists", name)
@@ -299,7 +308,9 @@ func (d *DFS) PutInstant(name string, data []byte, writer *topology.Node) (*File
 // Write stores a file with full pipeline cost: for every block, the writer's
 // NIC pushes the bytes once, the replica disks each write them, and replica
 // NICs receive them (cross-rack hops also transit the core switch). done
-// fires when the last replica of the last block is durable.
+// fires when the last replica of the last block is durable. As with
+// PutInstant, the blocks alias data: the caller must not mutate it after
+// the call.
 func (d *DFS) Write(name string, data []byte, writer *topology.Node, done func(*File, error)) {
 	if done == nil {
 		panic("hdfs: Write needs a completion callback")

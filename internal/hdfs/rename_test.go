@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -72,6 +73,35 @@ func TestRenamePrefixConflict(t *testing.T) {
 	}
 }
 
+// RenamePrefix moves matching files in sorted name order and stops at the
+// first collision, so exactly the names sorted before the colliding one have
+// moved. Enough files that map iteration order would show through.
+func TestRenamePrefixSortedOrderAndCollision(t *testing.T) {
+	eng, c := testCluster(t, 4)
+	d := New(eng, c, 10, 3, 1)
+	for i := 0; i < 20; i++ {
+		d.PutInstant(fmt.Sprintf("/tmp/f%02d", i), []byte{byte(i)}, nil)
+	}
+	d.PutInstant("/dst/f10", []byte("taken"), nil)
+	d.PutInstant("/tmpx", []byte("not under /tmp/"), nil)
+	n, err := d.RenamePrefix("/tmp/", "/dst/")
+	if err == nil || n != 0 {
+		t.Fatalf("RenamePrefix onto a taken name = %d, %v; want 0 and an error", n, err)
+	}
+	for i := 0; i < 20; i++ {
+		moved := d.Exists(fmt.Sprintf("/dst/f%02d", i)) && !d.Exists(fmt.Sprintf("/tmp/f%02d", i))
+		if want := i < 10; moved != want {
+			t.Fatalf("f%02d moved = %v, want %v; listing %v", i, moved, want, d.List())
+		}
+	}
+	if got, _ := d.Contents("/dst/f10"); string(got) != "taken" {
+		t.Fatalf("collision overwrote the existing file: %q", got)
+	}
+	if !d.Exists("/tmpx") {
+		t.Fatal("a sibling outside the prefix directory moved")
+	}
+}
+
 func TestDeletePrefix(t *testing.T) {
 	eng, c := testCluster(t, 4)
 	d := New(eng, c, 10, 3, 1)
@@ -99,5 +129,39 @@ func TestSingleBlockReadIsZeroCopy(t *testing.T) {
 	eng.Run()
 	if &got[0] != &f.Blocks[0].Data[0] {
 		t.Fatal("single-block full read copied the data")
+	}
+}
+
+// Blocks alias the caller's slice, so files written from one backing buffer
+// share it; Append must copy rather than grow a block in place, or it would
+// rewrite the bytes of every other file on that buffer.
+func TestAppendDoesNotWriteThroughSharedBuffer(t *testing.T) {
+	eng, c := testCluster(t, 4)
+	d := New(eng, c, 10, 3, 1)
+	buf := []byte("0123456789abcdef")
+	d.PutInstant("/long", buf[:8], nil)  // uncapped: cap reaches the end of buf
+	d.PutInstant("/short", buf[:4], nil) // a prefix of /long's bytes
+	d.PutInstant("/tail", buf[4:8], nil)
+	var wrote bool
+	d.Write("/written", buf[:6], c.Master(), func(_ *File, err error) { wrote = err == nil })
+	eng.Run()
+	if !wrote {
+		t.Fatal("Write from the shared buffer failed")
+	}
+	for _, name := range []string{"/short", "/long", "/written"} {
+		if _, err := d.Append(name, []byte("XYZ"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := map[string]string{
+		"/long": "01234567XYZ", "/short": "0123XYZ", "/tail": "4567", "/written": "012345XYZ",
+	}
+	for name, w := range want {
+		if got, _ := d.Contents(name); string(got) != w {
+			t.Fatalf("%s = %q, want %q", name, got, w)
+		}
+	}
+	if string(buf) != "0123456789abcdef" {
+		t.Fatalf("shared buffer mutated to %q", buf)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"mrapid/internal/costmodel"
@@ -976,10 +977,34 @@ func (rt *Runtime) PollAlignedNotify(submittedAt sim.Time, done func()) {
 func JarPath(spec *JobSpec) string  { return "/staging/" + spec.Name + "/job.jar" }
 func ConfPath(spec *JobSpec) string { return "/staging/" + spec.Name + "/job.xml" }
 
+// stagingZeros is the process-wide, read-only backing of every staged job
+// jar and configuration. The artifacts' contents are never read back — only
+// their lengths are charged — so all submissions share one zero slab instead
+// of clearing megabytes per job. It is process-wide rather than per Runtime
+// because the figure sweeps build a fresh Runtime for every point. It grows
+// (never shrinks) under the mutex when a Params asks for larger artifacts;
+// slices handed out earlier keep the old slab alive.
+var stagingZeros struct {
+	sync.Mutex
+	buf []byte
+}
+
+// stagingBytes returns n read-only zero bytes, capped at n so that no
+// append through the result can reach the shared slab.
+func stagingBytes(n int64) []byte {
+	stagingZeros.Lock()
+	defer stagingZeros.Unlock()
+	if int64(len(stagingZeros.buf)) < n {
+		stagingZeros.buf = make([]byte, n)
+	}
+	return stagingZeros.buf[:n:n]
+}
+
 // UploadArtifacts stages the job jar and configuration into HDFS from the
 // client (master) node, charged as real writes — step 1 of the flow. A
 // resubmission of the same job name replaces the previous staging files
 // (each submission pays the upload, as each Hadoop job ID stages afresh).
+// The staged bytes alias stagingZeros, which HDFS never mutates.
 func (rt *Runtime) UploadArtifacts(spec *JobSpec, done func(error)) {
 	for _, name := range []string{JarPath(spec), ConfPath(spec)} {
 		if rt.DFS.Exists(name) {
@@ -989,8 +1014,8 @@ func (rt *Runtime) UploadArtifacts(spec *JobSpec, done func(error)) {
 			}
 		}
 	}
-	jar := make([]byte, rt.Params.JobJarBytes)
-	conf := make([]byte, rt.Params.JobConfBytes)
+	jar := stagingBytes(rt.Params.JobJarBytes)
+	conf := stagingBytes(rt.Params.JobConfBytes)
 	rt.DFS.Write(JarPath(spec), jar, rt.Cluster.Master(), func(_ *hdfs.File, err error) {
 		if err != nil {
 			done(err)
