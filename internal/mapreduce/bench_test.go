@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -50,8 +51,9 @@ func BenchmarkExecReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeSortedRuns isolates the k-way merge against re-sorting.
-func BenchmarkMergeSortedRuns(b *testing.B) {
+// BenchmarkMergeGroup isolates the reduce-side k-way merge streamed into
+// grouping over 16 pre-sorted map outputs.
+func BenchmarkMergeGroup(b *testing.B) {
 	spec := wcSpec([]string{"/x"}, "/o")
 	runs := make([][]Pair, 16)
 	for i := range runs {
@@ -59,13 +61,29 @@ func BenchmarkMergeSortedRuns(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, scratch := mergeSortedRuns(runs)
-		if len(out) == 0 {
+		groups := 0
+		mergeGroup(runs, func([]byte, [][]byte) { groups++ })
+		if groups == 0 {
 			b.Fatal("empty merge")
 		}
-		if scratch {
-			putPairs(out)
-		}
+	}
+}
+
+// BenchmarkSortPairsTeraKeys measures the sort on TeraSort's shape:
+// uniformly random 10-byte keys, all distinct in practice, with 90-byte
+// values — the opposite of WordCount's few, heavily duplicated keys.
+func BenchmarkSortPairsTeraKeys(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	src := make([]Pair, 100_000)
+	for i := range src {
+		kv := make([]byte, 100)
+		r.Read(kv)
+		src[i] = Pair{Key: kv[:10:10], Value: kv[10:]}
+	}
+	dst := make([]Pair, 0, len(src))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = sortPairs(dst[:0], src)
 	}
 }
 

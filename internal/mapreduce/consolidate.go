@@ -70,12 +70,13 @@ func GroupOutputsByNode(outputs []*MapOutput) [][]*MapOutput {
 }
 
 // ConsolidateGroup builds the synthetic output for one node's group: each
-// partition is the k-way merge of the members' sorted runs, re-combined
-// through the job's combiner when it has one. Pure computation — the
-// shuffle service charges the virtual cost separately. Correctness rests on
-// comparePairs breaking key ties by value: merging sorted runs in any
-// grouping yields the same final sequence the reducer would have merged
-// per map, so job output is byte-identical with or without consolidation.
+// partition is the k-way merge of the members' sorted runs, or, when the
+// job has a combiner, that merge streamed through the combiner without
+// being materialized. Pure computation — the shuffle service charges the
+// virtual cost separately. Correctness rests on comparePairs breaking key
+// ties by value: merging sorted runs in any grouping yields the same final
+// sequence the reducer would have merged per map, so job output is
+// byte-identical with or without consolidation.
 func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 	if len(group) == 0 {
 		panic("mapreduce: ConsolidateGroup needs a non-empty group")
@@ -100,22 +101,18 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 			out.InMemory = false
 		}
 	}
-	runs := getRuns(len(group))
+	runs := runScratch.get(len(group))
 	for p := 0; p < spec.NumReduces; p++ {
 		runs = runs[:0]
 		for _, mo := range group {
 			runs = append(runs, mo.Partitions[p])
 		}
-		merged, scratch := mergeSortedRuns(runs)
+		var merged []Pair
 		if spec.Combine != nil {
-			combined := combine(spec.Combine, merged)
-			if scratch {
-				putPairs(merged)
-			}
-			merged = combined
+			merged = combine(spec.Combine, runs)
+		} else {
+			merged = mergeSortedRuns(runs)
 		}
-		// Without a combiner the merge scratch itself is retained as the
-		// consolidated partition; it simply leaves the pool.
 		out.Partitions[p] = merged
 		var n int64
 		for _, pr := range merged {
@@ -124,7 +121,7 @@ func ConsolidateGroup(spec *JobSpec, group []*MapOutput) *Consolidated {
 		out.PartBytes[p] = n
 		out.TotalBytes += n
 	}
-	putRuns(runs)
+	runScratch.put(runs)
 	return &Consolidated{Out: out, Members: group}
 }
 

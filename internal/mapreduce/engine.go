@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -194,11 +196,18 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 		Partitions: make([][]Pair, nred),
 		PartBytes:  make([]int64, nred),
 	}
+	// Emits collect in pooled per-partition scratch; each partition is then
+	// sorted through an index (see sortPairs) and gathered once, in order,
+	// into the slice it keeps.
+	raw := runScratch.get(nred)
+	for range nred {
+		raw = append(raw, emitScratch.get(0))
+	}
 	var emit Emit
 	if nred == 1 {
 		// Single-reduce short jobs (the paper's case) skip partitioning.
 		emit = func(k, v []byte) {
-			out.Partitions[0] = append(out.Partitions[0], Pair{Key: k, Value: v})
+			raw[0] = append(raw[0], Pair{Key: k, Value: v})
 		}
 	} else {
 		emit = func(k, v []byte) {
@@ -206,7 +215,7 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 			if p < 0 || p >= nred {
 				panic(fmt.Sprintf("mapreduce: partitioner returned %d of %d", p, nred))
 			}
-			out.Partitions[p] = append(out.Partitions[p], Pair{Key: k, Value: v})
+			raw[p] = append(raw[p], Pair{Key: k, Value: v})
 		}
 	}
 	mapFn := spec.Map
@@ -219,13 +228,19 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 		out.Records++
 		mapFn(k, v, emit)
 	})
-	for p := range out.Partitions {
-		sortPairs(out.Partitions[p])
-		if spec.Combine != nil {
-			raw := out.Partitions[p]
-			out.Partitions[p] = combine(spec.Combine, raw)
-			putPairs(raw) // pre-combine scratch, replaced and unreferenced
+	for p, ps := range raw {
+		switch {
+		case len(ps) == 0:
+		case spec.Combine == nil:
+			out.Partitions[p] = sortPairs(make([]Pair, 0, len(ps)), ps)
+		default:
+			// Only combine's output is kept, so the sorted input is
+			// scratch too.
+			sorted := sortPairs(pairScratch.get(len(ps)), ps)
+			out.Partitions[p] = combine(spec.Combine, [][]Pair{sorted})
+			pairScratch.put(sorted)
 		}
+		emitScratch.put(ps)
 		var n int64
 		for _, pr := range out.Partitions[p] {
 			n += pr.Bytes()
@@ -233,12 +248,14 @@ func ExecMapFile(spec *JobSpec, file string, data []byte) *MapOutput {
 		out.PartBytes[p] = n
 		out.TotalBytes += n
 	}
+	runScratch.put(raw)
 	return out
 }
 
 // comparePairs orders pairs by key, breaking key ties by value so the order
 // — and therefore every downstream byte — is fully deterministic without
-// needing a stable sort.
+// needing a stable sort. It is the reference order: sortPairs and the merge
+// heap reproduce it from key prefixes, and the tests check them against it.
 func comparePairs(a, b Pair) int {
 	if c := bytes.Compare(a.Key, b.Key); c != 0 {
 		return c
@@ -246,25 +263,208 @@ func comparePairs(a, b Pair) int {
 	return bytes.Compare(a.Value, b.Value)
 }
 
-// sortPairs orders pairs with comparePairs. Sorting intermediate data is the
-// hottest real computation in the whole simulator, hence slices.SortFunc
-// (pdqsort, no reflection-based swaps).
-func sortPairs(ps []Pair) {
-	slices.SortFunc(ps, comparePairs)
+// compareBytes is bytes.Compare that settles slices sharing one backing
+// array without the call, such as a map function's constant value
+// (WordCount's "1"), which the sort and merge compare on every key tie.
+func compareBytes(a, b []byte) int {
+	if len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) {
+		return 0
+	}
+	return bytes.Compare(a, b)
 }
 
-// mergeSortedRuns merges already-sorted pair runs into one sorted slice via
-// a k-way heap merge — O(n log k) instead of re-sorting everything, which
-// matters when a reduce pulls dozens of pre-sorted map outputs. The heap is
-// a plain [][]Pair with hand-rolled sifts (container/heap would box every
-// run through an interface), and the output draws on the pair pool.
-//
-// The second result reports whether the returned slice is pool scratch the
-// caller owns (and should putPairs once done) — false when it aliases one
-// of the input runs or is nil.
-func mergeSortedRuns(runs [][]Pair) ([]Pair, bool) {
-	var total int
-	var nonEmpty int
+// sortEntry is the sort's stand-in for one pair: a pointer-free 16 bytes,
+// so the sort swaps no Key/Value headers and runs no GC write barriers,
+// and most comparisons end on the integer prefix without touching the key.
+type sortEntry struct {
+	prefix uint64 // the key's first 8 bytes, big-endian, zero-padded
+	idx    uint32 // the pair's index in the unsorted input
+	klen   uint32 // the key's length
+}
+
+// keyPrefix packs a key's first 8 bytes big-endian, zero-padding short
+// keys, so prefix order agrees with bytes.Compare wherever prefixes differ.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var p uint64
+	for i, c := range k {
+		p |= uint64(c) << (56 - 8*i)
+	}
+	return p
+}
+
+// compareTie finishes comparePairs for two pairs whose keys, of the given
+// lengths, share their 8-byte prefix. Keys of at most 8 bytes then agree
+// up to the shorter length and the longer one continues with zero bytes,
+// so the shorter key sorts first and equal lengths mean equal keys. Any
+// longer key needs the full comparison.
+func compareTie(a, b *Pair, alen, blen uint32) int {
+	if alen <= 8 && blen <= 8 {
+		if alen != blen {
+			return cmp.Compare(alen, blen)
+		}
+	} else if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return compareBytes(a.Value, b.Value)
+}
+
+// keysEqual reports whether keys a and b, with prefixes pa and pb, are
+// equal, reading their bytes only when the prefixes cannot settle it.
+func keysEqual(a, b []byte, pa, pb uint64) bool {
+	return pa == pb && len(a) == len(b) && (len(a) <= 8 || bytes.Equal(a, b))
+}
+
+// sortPairs appends src's pairs to dst in comparePairs order and returns
+// the extended slice; src is left untouched. Sorting intermediate data is
+// the hottest real computation in the whole simulator, so it sorts pooled
+// prefix-keyed entries (see sortEntry) and gathers each pair exactly once.
+// Runs of equal keys come out sharing the first one's slice, so the
+// merge's later equality checks on them end at the pointer comparison.
+func sortPairs(dst, src []Pair) []Pair {
+	es := entryScratch.get(len(src))[:len(src)]
+	for i, p := range src {
+		es[i] = sortEntry{prefix: keyPrefix(p.Key), idx: uint32(i), klen: uint32(len(p.Key))}
+	}
+	slices.SortFunc(es, func(a, b sortEntry) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return compareTie(&src[a.idx], &src[b.idx], a.klen, b.klen)
+	})
+	var prev sortEntry
+	for i, e := range es {
+		p := src[e.idx]
+		if last := len(dst) - 1; i > 0 && keysEqual(p.Key, dst[last].Key, e.prefix, prev.prefix) {
+			p.Key = dst[last].Key
+		}
+		dst = append(dst, p)
+		prev = e
+	}
+	entryScratch.put(es)
+	return dst
+}
+
+// headRun is one run in a runHeap, with its head key's prefix cached.
+type headRun struct {
+	run    []Pair
+	prefix uint64 // keyPrefix(run[0].Key)
+}
+
+// less orders runs by their head pairs in comparePairs order.
+func (a *headRun) less(b *headRun) bool {
+	if a.prefix != b.prefix {
+		return a.prefix < b.prefix
+	}
+	x, y := &a.run[0], &b.run[0]
+	return compareTie(x, y, uint32(len(x.Key)), uint32(len(y.Key))) < 0
+}
+
+// runHeap is a binary min-heap of non-empty sorted runs ordered by their
+// head pair: the k-way merge behind mergeGroup and mergeSortedRuns,
+// O(n log k) instead of re-sorting everything, which matters when a reduce
+// pulls dozens of pre-sorted map outputs. Sifts are hand-rolled
+// (container/heap would box every run through an interface) and compare
+// cached prefixes first; the heap is drawn from its pool and released
+// with release.
+type runHeap []headRun
+
+func newRunHeap(runs [][]Pair) runHeap {
+	h := runHeap(heapScratch.get(len(runs)))
+	for _, r := range runs {
+		if len(r) > 0 {
+			h = append(h, headRun{run: r, prefix: keyPrefix(r[0].Key)})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.sift(i)
+	}
+	return h
+}
+
+func (h runHeap) release() { heapScratch.put(h) }
+
+// take removes the smallest head pair from the heap together with every
+// identical pair right behind it in the same run, and returns them. The
+// merge would emit those duplicates next anyway, and taking them at once
+// saves a sift per pair on duplicate-heavy data such as WordCount's
+// (word, "1") emits. The heap must be non-empty.
+func (h *runHeap) take() []Pair {
+	s := *h
+	top := s[0]
+	r := top.run
+	n := 1
+	var next uint64
+	for ; n < len(r); n++ {
+		next = keyPrefix(r[n].Key)
+		if !keysEqual(r[n].Key, r[0].Key, next, top.prefix) || !bytes.Equal(r[n].Value, r[0].Value) {
+			break
+		}
+	}
+	if n < len(r) {
+		s[0] = headRun{run: r[n:], prefix: next}
+	} else {
+		last := len(s) - 1
+		s[0] = s[last]
+		s[last] = headRun{}
+		s = s[:last]
+		*h = s
+	}
+	s.sift(0)
+	return r[:n]
+}
+
+// sift restores the min-heap property at index i.
+func (h runHeap) sift(i int) {
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && h[r].less(&h[l]) {
+			m = r
+		}
+		if !h[m].less(&h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// mergeGroup k-way merges sorted runs and yields each distinct key, in
+// order, with its values from every run in comparePairs order — the
+// merge streamed straight into grouping, with no merged slice in between.
+// The values slice is scratch reused between keys (and pooled across
+// calls): consumers — reducers and combiners — must not retain it past the
+// yield, the same contract Hadoop's reduce iterable has. Retaining
+// individual value byte slices is fine.
+func mergeGroup(runs [][]Pair, yield func(key []byte, values [][]byte)) {
+	h := newRunHeap(runs)
+	values := valScratch.get(0)
+	for len(h) > 0 {
+		key, prefix := h[0].run[0].Key, h[0].prefix
+		values = values[:0]
+		for len(h) > 0 && keysEqual(h[0].run[0].Key, key, h[0].prefix, prefix) {
+			for _, p := range h.take() {
+				values = append(values, p.Value)
+			}
+		}
+		yield(key, values)
+	}
+	valScratch.put(values)
+	h.release()
+}
+
+// mergeSortedRuns merges sorted runs into one sorted slice of exactly
+// their total length, which the caller keeps: the consolidated partition
+// of a job without a combiner. A lone non-empty run is returned as is.
+func mergeSortedRuns(runs [][]Pair) []Pair {
+	var total, nonEmpty int
 	var last []Pair
 	for _, r := range runs {
 		total += len(r)
@@ -273,91 +473,37 @@ func mergeSortedRuns(runs [][]Pair) ([]Pair, bool) {
 			last = r
 		}
 	}
-	if nonEmpty == 0 {
-		return nil, false
+	if nonEmpty <= 1 {
+		return last
 	}
-	if nonEmpty == 1 {
-		return last, false
-	}
-	h := getRuns(nonEmpty)
-	for _, r := range runs {
-		if len(r) > 0 {
-			h = append(h, r)
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftRun(h, i)
-	}
-	out := getPairs(total)
+	h := newRunHeap(runs)
+	out := make([]Pair, 0, total)
 	for len(h) > 0 {
-		r := h[0]
-		out = append(out, r[0])
-		if len(r) > 1 {
-			h[0] = r[1:]
-		} else {
-			n := len(h) - 1
-			h[0] = h[n]
-			h = h[:n]
-		}
-		siftRun(h, 0)
+		out = append(out, h.take()...)
 	}
-	putRuns(h)
-	return out, true
-}
-
-// siftRun restores the min-heap property at index i of a heap of runs
-// ordered by their head pair.
-func siftRun(h [][]Pair, i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && comparePairs(h[r][0], h[l][0]) < 0 {
-			m = r
-		}
-		if comparePairs(h[m][0], h[i][0]) >= 0 {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// combine collapses sorted runs of equal keys through the combiner. The
-// result is freshly built (seeded from the pair pool, never put back by
-// combine itself — call sites retain it); the input is left untouched.
-func combine(c ReduceFunc, in []Pair) []Pair {
-	out := getPairs(len(in))
-	emit := func(k, v []byte) { out = append(out, Pair{Key: k, Value: v}) }
-	groupSorted(in, func(key []byte, values [][]byte) { c(key, values, emit) })
-	sortPairs(out)
+	h.release()
 	return out
 }
 
-// groupSorted walks key-sorted pairs and yields each distinct key with its
-// values. The values slice is scratch reused between keys (and pooled
-// across calls): consumers — reducers and combiners — must not retain it
-// past the yield, the same contract Hadoop's reduce iterable has. Retaining
-// individual value byte slices is fine.
-func groupSorted(in []Pair, yield func(key []byte, values [][]byte)) {
-	values := getVals()
-	i := 0
-	for i < len(in) {
-		j := i + 1
-		for j < len(in) && bytes.Equal(in[j].Key, in[i].Key) {
-			j++
-		}
-		values = values[:0]
-		for k := i; k < j; k++ {
-			values = append(values, in[k].Value)
-		}
-		yield(in[i].Key, values)
-		i = j
+// combine runs the combiner over the merge of sorted runs and returns its
+// output, sorted, in a slice of exactly its length that the caller keeps;
+// the runs are left untouched. Combiners that emit each group's key once,
+// like WordCount's sum, already emit in order, so the re-sort is skipped
+// whenever the output is sorted.
+func combine(c ReduceFunc, runs [][]Pair) []Pair {
+	scratch := pairScratch.get(0)
+	emit := func(k, v []byte) { scratch = append(scratch, Pair{Key: k, Value: v}) }
+	mergeGroup(runs, func(key []byte, values [][]byte) { c(key, values, emit) })
+	var out []Pair
+	switch {
+	case len(scratch) == 0:
+	case slices.IsSortedFunc(scratch, comparePairs):
+		out = append(make([]Pair, 0, len(scratch)), scratch...)
+	default:
+		out = sortPairs(make([]Pair, 0, len(scratch)), scratch)
 	}
-	putVals(values)
+	pairScratch.put(scratch)
+	return out
 }
 
 // spillCount reports how many spill files a map output of n bytes produces
@@ -754,20 +900,18 @@ func (rt *Runtime) FetchPartition(mo *MapOutput, part int, dst *topology.Node, d
 }
 
 // ExecReduce runs the reduce function for real over the fetched partitions:
-// merge, group by key, reduce. Pure computation.
+// merge, group by key, reduce — streamed, with no merged slice. Pure
+// computation. The result is drawn from the pair pool; a caller done with
+// it may put it back with pairScratch.put.
 func ExecReduce(spec *JobSpec, part int, outputs []*MapOutput) []Pair {
-	runs := getRuns(len(outputs))
+	runs := runScratch.get(len(outputs))
 	for _, mo := range outputs {
 		runs = append(runs, mo.Partitions[part])
 	}
-	merged, scratch := mergeSortedRuns(runs)
-	putRuns(runs)
-	var result []Pair
+	result := pairScratch.get(0)
 	emit := func(k, v []byte) { result = append(result, Pair{Key: k, Value: v}) }
-	groupSorted(merged, func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
-	if scratch {
-		putPairs(merged)
-	}
+	mergeGroup(runs, func(key []byte, values [][]byte) { spec.Reduce(key, values, emit) })
+	runScratch.put(runs)
 	return result
 }
 
@@ -875,7 +1019,7 @@ func (rt *Runtime) RunReduceTask(spec *JobSpec, part int, opts ReduceOptions, ou
 	fut := Async(rt.workerPool(), func() reduced {
 		result := ExecReduce(spec, part, outputs)
 		r := reduced{encoded: EncodePairs(result), records: int64(len(result))}
-		putPairs(result) // encoded copies the bytes; the pair headers are dead
+		pairScratch.put(result) // encoded copies the bytes; the pair headers are dead
 		return r
 	})
 	node.Cores.Acquire(1, func() {

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -313,42 +312,5 @@ func TestEncodePairsAndPartFileName(t *testing.T) {
 	}
 	if PartFileName("/out", 3) != "/out/part-00003" {
 		t.Fatalf("PartFileName = %q", PartFileName("/out", 3))
-	}
-}
-
-func TestGroupSortedYieldsEachKeyOnce(t *testing.T) {
-	in := []Pair{
-		{Key: []byte("a"), Value: []byte("1")},
-		{Key: []byte("a"), Value: []byte("2")},
-		{Key: []byte("b"), Value: []byte("3")},
-	}
-	var keys []string
-	var sizes []int
-	groupSorted(in, func(k []byte, vs [][]byte) {
-		keys = append(keys, string(k))
-		sizes = append(sizes, len(vs))
-	})
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" || sizes[0] != 2 || sizes[1] != 1 {
-		t.Fatalf("groups = %v %v", keys, sizes)
-	}
-}
-
-// Property: sortPairs is a permutation that yields sorted keys.
-func TestQuickSortPairs(t *testing.T) {
-	f := func(keys [][]byte) bool {
-		ps := make([]Pair, len(keys))
-		for i, k := range keys {
-			ps[i] = Pair{Key: k, Value: []byte{byte(i)}}
-		}
-		sortPairs(ps)
-		if len(ps) != len(keys) {
-			return false
-		}
-		return sort.SliceIsSorted(ps, func(i, j int) bool {
-			return bytes.Compare(ps[i].Key, ps[j].Key) < 0
-		})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -6,67 +6,50 @@ import "sync"
 // computations run on host worker goroutines (see parallel.go), so the
 // pools are sync.Pools rather than per-runtime free lists.
 //
-// Ownership discipline, which every call site below follows:
+// Ownership discipline, which every call site follows:
 //
-//   - only provably-dead slices are put back: a pre-combine partition
-//     after the combiner replaced it, a merge result after grouping
-//     consumed it, a runs table after the merge took its pick;
-//   - retained data (MapOutput.Partitions, reduce results, encoded
-//     output) may be *seeded* from a pool but is never put back — an
-//     array handed to retained data simply leaves the pool;
-//   - entries are cleared before pooling so stale Pair/value headers do
-//     not pin job data past its lifetime.
+//   - only provably-dead slices are put back: a map task's pre-sort emits
+//     once its partitions are gathered, the sorted copy a combiner
+//     consumed, a combiner's output once it is copied out, sort entries
+//     once the gather is done, a runs table or merge heap once the merge
+//     is done, a reduce result once it is encoded;
+//   - retained data (MapOutput.Partitions, consolidated partitions,
+//     encoded output) is allocated at its exact size and never drawn from
+//     a pool; a reduce result is drawn from one, and a caller that keeps
+//     it simply takes it out of the pool;
+//   - slices are cleared before pooling so stale Key/Value headers do not
+//     pin job data past its lifetime;
+//   - a pooled slice too small for the request is dropped, not put back,
+//     so the pools keep the capacity the workload actually needs. The
+//     pre-sort emits, whose size is unknown up front, have a pool of their
+//     own so a small combiner output never stands in for them.
+var (
+	emitScratch  slicePool[Pair]      // map emits, one slice per partition
+	pairScratch  slicePool[Pair]      // sorted combiner input, combiner output, reduce result
+	entryScratch slicePool[sortEntry] // sortPairs' entries
+	runScratch   slicePool[[]Pair]    // run tables
+	heapScratch  slicePool[headRun]   // merge heaps
+	valScratch   slicePool[[]byte]    // one key's values during grouping
+)
 
-var pairPool = sync.Pool{New: func() any { ps := make([]Pair, 0, 64); return &ps }}
+// slicePool recycles slices of one element type.
+type slicePool[T any] struct{ pool sync.Pool }
 
-// getPairs returns an empty pair slice with at least the hinted capacity.
-func getPairs(capHint int) []Pair {
-	p := pairPool.Get().(*[]Pair)
-	if cap(*p) < capHint {
-		pairPool.Put(p)
-		return make([]Pair, 0, capHint)
+// get returns an empty slice with at least the hinted capacity.
+func (sp *slicePool[T]) get(capHint int) []T {
+	if p, ok := sp.pool.Get().(*[]T); ok && cap(*p) >= capHint {
+		return *p
 	}
-	return *p
+	return make([]T, 0, max(capHint, 64))
 }
 
-// putPairs recycles a dead pair slice. The caller asserts nothing aliases
-// it anymore.
-func putPairs(ps []Pair) {
-	if cap(ps) == 0 {
+// put recycles a dead slice. The caller asserts nothing aliases it
+// anymore.
+func (sp *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
 		return
 	}
-	clear(ps)
-	ps = ps[:0]
-	pairPool.Put(&ps)
-}
-
-var runsPool = sync.Pool{New: func() any { rs := make([][]Pair, 0, 16); return &rs }}
-
-// getRuns returns an empty run table with at least the hinted capacity.
-func getRuns(capHint int) [][]Pair {
-	p := runsPool.Get().(*[][]Pair)
-	if cap(*p) < capHint {
-		runsPool.Put(p)
-		return make([][]Pair, 0, capHint)
-	}
-	return *p
-}
-
-func putRuns(rs [][]Pair) {
-	if cap(rs) == 0 {
-		return
-	}
-	clear(rs)
-	rs = rs[:0]
-	runsPool.Put(&rs)
-}
-
-var valsPool = sync.Pool{New: func() any { vs := make([][]byte, 0, 64); return &vs }}
-
-func getVals() [][]byte { return *valsPool.Get().(*[][]byte) }
-
-func putVals(vs [][]byte) {
-	clear(vs)
-	vs = vs[:0]
-	valsPool.Put(&vs)
+	clear(s)
+	s = s[:0]
+	sp.pool.Put(&s)
 }
